@@ -16,7 +16,7 @@
 //!    base relations — into a derived database
 //!    ([`mjoin::derive_database`]);
 //! 2. re-enters the PR-1 degradation ladder
-//!    ([`mjoin::optimize_robust_threaded`]) over that derived query under
+//!    ([`mjoin::optimize_robust`]) over that derived query under
 //!    the **remaining** budget, so re-planning is itself deadline-safe,
 //!    cancellable, and degrades gracefully;
 //! 3. rebuilds the estimator over the derived database (same estimation
@@ -31,16 +31,13 @@
 //! Joins are canonical at any thread count, the noise factor is a pure
 //! function of `(seed, subset)`, and the derived-leaf order is canonical,
 //! so the whole pipeline is deterministic in `(strategy, estimation,
-//! budget, thread count)`. Thread count can only matter through the
-//! ladder's DP rung, which enumerates in a different order sequentially
-//! (DPsub) than threaded (DPccp): the two always agree on cost and may
-//! tie-break equal-cost plans differently — re-plans that answer at the
-//! exhaustive rung are bit-identical at every thread count.
+//! budget)` — and independent of the thread count, because every rung of
+//! the ladder answers bit-identically at any thread count.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use mjoin::{derive_database, optimize_robust_threaded, try_optimize, ExactOracle};
+use mjoin::{derive_database, optimize_robust, try_optimize, ExactOracle, Rung};
 use mjoin_cost::{Database, NoisyOracle, SyntheticOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
@@ -362,13 +359,14 @@ pub fn execute_adaptive(
                 }
                 let derived = derive_database(db, mats)?;
                 let rem = remaining_budget(&config.budget, started, &guard);
-                let robust = optimize_robust_threaded(
+                let robust = optimize_robust(
                     &derived.db,
                     derived.db.scheme().full_set(),
                     config.space,
                     rem,
                     config.cancel.as_ref(),
                     threads,
+                    Rung::Exhaustive,
                 )?;
                 trace.replans.push(ReplanEvent {
                     after_stage: trace.stages.len(),

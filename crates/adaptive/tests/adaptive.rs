@@ -5,7 +5,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use mjoin::{failpoints, Budget, CancelToken, Database, MjoinError, SearchSpace};
+use mjoin::{failpoints, Budget, CancelToken, Database, MjoinError, Rung, SearchSpace};
 use mjoin_adaptive::{
     execute_adaptive, plan_and_execute, q_error, regret_sweep, AdaptiveConfig, Estimation,
 };
@@ -175,15 +175,22 @@ fn adaptive_never_does_worse_than_static_under_injected_error() {
 
 #[test]
 fn traces_are_identical_at_one_two_and_four_threads() {
-    // Schemes small enough that every re-plan answers at the exhaustive
-    // rung, which is bit-identical at any thread count.
-    for seed in 0..4u64 {
-        let db = random_db(6, seed.wrapping_add(300));
+    // Six-relation schemes re-plan at the exhaustive rung; 9–10-relation
+    // schemes in the product-free space re-plan past the enumeration
+    // cutoff, at the DP rung. Every rung answers bit-identically at any
+    // thread count.
+    let mut cases: Vec<(usize, SearchSpace, u64)> =
+        (0..4u64).map(|seed| (6, SearchSpace::All, seed)).collect();
+    cases.extend((0..4u64).map(|seed| (9 + seed as usize % 2, SearchSpace::NoCartesian, seed)));
+    let mut dp_replans = 0;
+    for (n, space, seed) in cases {
+        let db = random_db(n, seed.wrapping_add(300));
         let strategy = left_deep_full(&db);
         let estimation = Estimation::Noisy { q: 16.0, seed };
         let run = |threads: usize| {
             let config = AdaptiveConfig {
                 threads,
+                space,
                 replan_threshold: 1.5,
                 ..AdaptiveConfig::default()
             };
@@ -192,10 +199,17 @@ fn traces_are_identical_at_one_two_and_four_threads() {
         let base = run(1);
         for threads in [2, 4] {
             let got = run(threads);
-            assert_eq!(got.trace, base.trace, "seed {seed} x{threads}");
-            assert_eq!(got.result, base.result, "seed {seed} x{threads}");
+            assert_eq!(got.trace, base.trace, "n {n} seed {seed} x{threads}");
+            assert_eq!(got.result, base.result, "n {n} seed {seed} x{threads}");
         }
+        dp_replans += base
+            .trace
+            .replans
+            .iter()
+            .filter(|r| r.rung == Rung::Dp)
+            .count();
     }
+    assert!(dp_replans > 0, "no re-plan reached the DP rung");
 }
 
 #[test]

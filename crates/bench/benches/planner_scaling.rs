@@ -17,7 +17,7 @@
 //! * the n = 100 chain is planned by both polynomial rungs inside a
 //!   250 ms deadline (relaxed 10× in smoke mode, which runs unoptimized);
 //! * every arm is deterministic — three repetitions, bit-identical plans;
-//! * pinned at `LinDp` / `PartitionedDp`, the threaded ladder over a real
+//! * pinned at `LinDp` / `PartitionedDp`, the ladder over a real
 //!   database returns bit-identical plans at 1, 2, and 4 threads.
 //!
 //! Smoke mode for CI (`MJOIN_BENCH_SMOKE=1`): a trimmed grid (n = 20
@@ -27,7 +27,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mjoin::{optimize_robust_threaded_from, Budget, Rung, SearchSpace};
+use mjoin::{optimize_robust, Budget, Rung, SearchSpace};
 use mjoin_cost::SyntheticOracle;
 use mjoin_gen::{data, data::DataConfig, schemes};
 use mjoin_guard::Guard;
@@ -235,7 +235,7 @@ fn run_cell(topo: &str, n: usize) -> (Vec<Json>, bool) {
     (rows, strictly_better)
 }
 
-/// Pinned at each new rung, the threaded ladder over a *real* database
+/// Pinned at each new rung, the ladder over a *real* database
 /// returns bit-identical plans at 1, 2, and 4 threads — the rungs run
 /// sequentially on the shared-oracle handle, so thread count must be
 /// invisible.
@@ -254,7 +254,7 @@ fn assert_thread_invariant() {
         let plans: Vec<_> = [1usize, 2, 4]
             .into_iter()
             .map(|threads| {
-                optimize_robust_threaded_from(
+                optimize_robust(
                     &db,
                     full,
                     SearchSpace::All,

@@ -38,9 +38,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mjoin::{
-    analyze_guarded, failpoints, optimize_database_robust_threaded, optimize_robust_threaded_from,
-    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_optimize, BrownoutLevel,
-    Budget, Condition, Database, DpAlgorithm, ExactOracle, Guard, MjoinError, SearchSpace,
+    analyze_guarded, failpoints, optimize_robust, try_optimize, try_optimize_parallel,
+    BrownoutLevel, Budget, Condition, Database, ExactOracle, Guard, MjoinError, Rung, SearchSpace,
     SharedOracle, Strategy, Value,
 };
 use mjoin_fd::FdSet;
@@ -242,9 +241,8 @@ impl GuardOptions {
     }
 
     /// The effective worker-thread count: the `--threads` flag, else the
-    /// `MJOIN_THREADS` environment variable, else 1. At 1 every code path
-    /// is the sequential one, so output is byte-identical to builds that
-    /// predate the flag.
+    /// `MJOIN_THREADS` environment variable, else 1. Unbudgeted output is
+    /// byte-identical at every count.
     pub fn threads(&self) -> usize {
         self.threads
             .or_else(|| std::env::var("MJOIN_THREADS").ok()?.parse().ok())
@@ -347,96 +345,84 @@ pub struct OptimizeOutcome {
     pub robust: Option<mjoin::RobustPlan>,
 }
 
-/// Runs the `optimize` command's planning paths — budgeted ladder,
-/// parallel DP, or sequential DP, chosen exactly as the CLI does — and
-/// renders the report. Shared by the CLI and the serve daemon so a served
-/// plan is byte-identical to the CLI's.
+/// Runs the `optimize` command's planning paths — the budgeted ladder, or
+/// the unbudgeted DP over one shared memo, chosen exactly as the CLI does —
+/// and renders the report. Shared by the CLI and the serve daemon so a
+/// served plan is byte-identical to the CLI's.
 pub fn optimize_outcome(
     db: &Database,
     space: SearchSpace,
     gopts: &GuardOptions,
 ) -> Result<OptimizeOutcome, MjoinError> {
     let budget = gopts.budget();
-    let guard = Guard::new(budget);
     let threads = gopts.threads();
-    let mut out = String::new();
-    let mut cost = None;
-    let mut plan_out = None;
-    let mut robust = None;
     if gopts.is_limited() {
         // Budgeted mode: the degradation ladder always answers with
         // some valid strategy and reports which rung produced it.
-        // (`optimize_database_robust_threaded` at 1 thread *is* the
-        // sequential ladder.)
-        let r = optimize_database_robust_threaded(db, space, budget, None, threads)?;
-        let _ = writeln!(out, "search space: {space:?}");
-        let _ = writeln!(
-            out,
-            "plan: {}",
-            r.plan.strategy.render(db.catalog(), db.scheme())
-        );
-        if r.plan.cost == u64::MAX {
-            let _ = writeln!(out, "τ = (not costed within budget)");
-        } else {
-            let _ = writeln!(out, "τ = {}", r.plan.cost);
+        return ladder_outcome(db, space, budget, threads, Rung::Exhaustive);
+    }
+    // The space's DP over one shared memo: level-parallel DPccp for the
+    // product-free spaces, sequential DP for the rest.
+    let guard = Guard::new(budget);
+    let shared = SharedOracle::with_guard(db, guard.clone()).with_join_threads(threads);
+    let plan = try_optimize_parallel(&shared, db.scheme().full_set(), space, &guard, threads)?;
+    let mut out = String::new();
+    match &plan {
+        Some(plan) => {
+            let _ = writeln!(out, "search space: {space:?}");
+            let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut shared.handle()));
         }
-        let _ = writeln!(out, "degradation: {}", r.report);
-        if r.plan.cost != u64::MAX {
-            cost = Some(r.plan.cost);
-        }
-        plan_out = Some(r.plan.clone());
-        robust = Some(r);
-    } else if threads > 1 {
-        // Multi-core search over one shared memo: level-parallel DP
-        // for the product-free spaces, sequential DP over the shared
-        // oracle for the rest.
-        let shared = SharedOracle::with_guard(db, guard.clone()).with_join_threads(threads);
-        let full = db.scheme().full_set();
-        let plan = match space {
-            SearchSpace::NoCartesian => {
-                try_best_no_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
-            }
-            SearchSpace::AvoidCartesian => {
-                try_best_avoid_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
-            }
-            _ => try_optimize(&mut shared.handle(), full, space, &guard),
-        }?;
-        match plan {
-            Some(plan) => {
-                let _ = writeln!(out, "search space: {space:?}");
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut shared.handle()));
-                cost = Some(plan.cost);
-                plan_out = Some(plan);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "search space {space:?} is empty for this (unconnected) scheme"
-                );
-            }
-        }
-    } else {
-        let mut oracle = ExactOracle::with_guard(db, guard.clone());
-        match try_optimize(&mut oracle, db.scheme().full_set(), space, &guard)? {
-            Some(plan) => {
-                let _ = writeln!(out, "search space: {space:?}");
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut oracle));
-                cost = Some(plan.cost);
-                plan_out = Some(plan);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "search space {space:?} is empty for this (unconnected) scheme"
-                );
-            }
+        None => {
+            let _ = writeln!(
+                out,
+                "search space {space:?} is empty for this (unconnected) scheme"
+            );
         }
     }
     Ok(OptimizeOutcome {
         text: out,
-        cost,
-        plan: plan_out,
-        robust,
+        cost: plan.as_ref().map(|p| p.cost),
+        plan,
+        robust: None,
+    })
+}
+
+/// The degradation ladder entered at `entry`, rendered as the budgeted
+/// `optimize` report.
+fn ladder_outcome(
+    db: &Database,
+    space: SearchSpace,
+    budget: Budget,
+    threads: usize,
+    entry: Rung,
+) -> Result<OptimizeOutcome, MjoinError> {
+    let r = optimize_robust(
+        db,
+        db.scheme().full_set(),
+        space,
+        budget,
+        None,
+        threads,
+        entry,
+    )?;
+    let mut out = String::new();
+    let _ = writeln!(out, "search space: {space:?}");
+    let _ = writeln!(
+        out,
+        "plan: {}",
+        r.plan.strategy.render(db.catalog(), db.scheme())
+    );
+    if r.plan.cost == u64::MAX {
+        let _ = writeln!(out, "τ = (not costed within budget)");
+    } else {
+        let _ = writeln!(out, "τ = {}", r.plan.cost);
+    }
+    let _ = writeln!(out, "degradation: {}", r.report);
+    Ok(OptimizeOutcome {
+        text: out,
+        cost: (r.plan.cost != u64::MAX).then_some(r.plan.cost),
+        plan: Some(r.plan.clone()),
+        robust: Some(r),
     })
 }
 
@@ -457,38 +443,9 @@ pub fn optimize_outcome_browned(
         return optimize_outcome(db, space, gopts);
     }
     let budget = level.apply(gopts.budget());
-    let threads = gopts.threads();
-    let r = optimize_robust_threaded_from(
-        db,
-        db.scheme().full_set(),
-        space,
-        budget,
-        None,
-        threads,
-        level.entry_rung(),
-    )?;
-    let mut out = String::new();
-    let _ = writeln!(out, "search space: {space:?}");
-    let _ = writeln!(
-        out,
-        "plan: {}",
-        r.plan.strategy.render(db.catalog(), db.scheme())
-    );
-    if r.plan.cost == u64::MAX {
-        let _ = writeln!(out, "τ = (not costed within budget)");
-    } else {
-        let _ = writeln!(out, "τ = {}", r.plan.cost);
-    }
-    let _ = writeln!(out, "degradation: {}", r.report);
-    let _ = writeln!(out, "brownout: {level}");
-    let cost = (r.plan.cost != u64::MAX).then_some(r.plan.cost);
-    let plan = Some(r.plan.clone());
-    Ok(OptimizeOutcome {
-        text: out,
-        cost,
-        plan,
-        robust: Some(r),
-    })
+    let mut o = ladder_outcome(db, space, budget, gopts.threads(), level.entry_rung())?;
+    let _ = writeln!(o.text, "brownout: {level}");
+    Ok(o)
 }
 
 /// The rendered result of one `query` invocation: the lowering header
@@ -1501,8 +1458,7 @@ Lang22 Chomsky
 
     #[test]
     fn threads_one_output_is_identical_to_default() {
-        // `--threads 1` pins every code path to the sequential one, so its
-        // output must match the legacy expectations exactly.
+        // `--threads 1` output must match the legacy expectations exactly.
         let all = run_ok(&["optimize", "db.mj", "--threads", "1"]);
         assert!(all.contains("τ = 6 + 5 = 11"), "{all}");
         let nocp = run_ok(&["optimize", "db.mj", "nocp", "--threads", "1"]);

@@ -93,7 +93,7 @@ fn new_rungs_never_fire_on_the_paper_examples() {
     ] {
         let text = fs::read_to_string(repo_path(file)).expect("example file readable");
         let parsed = mjoin_cli::parse_input(&text).expect("example file parses");
-        let r = optimize_database_robust(&parsed.database, SearchSpace::All, Budget::unlimited(), None)
+        let r = optimize_database_robust(&parsed.database, SearchSpace::All, Budget::unlimited(), None, 1)
             .expect("paper examples always plan");
         assert!(
             !matches!(r.report.answered_by, Rung::LinDp | Rung::PartitionedDp),

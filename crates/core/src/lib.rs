@@ -62,10 +62,12 @@ pub use derived::{derive_database, DerivedDatabase, DerivedLeaf};
 pub use facade::{analyze, analyze_guarded, optimize_database, optimize_database_guarded, Analysis};
 pub use report::{degradation_section, render_run_report};
 pub use robust::{
-    optimize_database_robust, optimize_database_robust_threaded, optimize_robust,
-    optimize_robust_from, optimize_robust_threaded, optimize_robust_threaded_from,
-    BrownoutLevel, DegradationReport, RobustPlan, Rung, RungAttempt, RungStats,
+    optimize_database_robust, optimize_robust, BrownoutLevel, DegradationReport, RobustPlan, Rung,
+    RungAttempt, RungStats,
 };
+/// The former name of [`optimize_database_robust`], whose signature it
+/// shares; kept because the `planbench` harness imports it.
+pub use robust::optimize_database_robust as optimize_database_robust_threaded;
 pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport};
 
 // One-stop re-exports of the workspace's public surface.
@@ -73,7 +75,7 @@ pub use mjoin_cost::{CardinalityOracle, Database, ExactOracle, NoisyOracle, Shar
 pub use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError, Resource};
 pub use mjoin_hypergraph::{Acyclicity, DbScheme, JoinTree, RelSet};
 pub use mjoin_query::{lower, parse_query, JoinEdge, LoweredQuery, Query};
-pub use mjoin_optimizer::{best_bottleneck, best_monotone, bottleneck_of, exists_monotone, ikkbz, lindp, optimize, optimize_with, partitioned_dp, plan_from_memo, try_best_avoid_cartesian_parallel, try_best_no_cartesian_ccp_with_memo, try_best_no_cartesian_parallel, try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize, try_optimize_with, try_partitioned_dp, try_partitioned_dp_with, DpAlgorithm, DpMemoExport, Monotonicity, Plan, SearchSpace, DEFAULT_BLOCK_MAX};
+pub use mjoin_optimizer::{best_bottleneck, best_monotone, bottleneck_of, exists_monotone, ikkbz, lindp, optimize, optimize_with, partitioned_dp, plan_from_memo, try_best_avoid_cartesian_parallel, try_best_no_cartesian_ccp_with_memo, try_best_no_cartesian_parallel, try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize, try_optimize_parallel, try_optimize_with, try_partitioned_dp, try_partitioned_dp_with, DpAlgorithm, DpMemoExport, Monotonicity, Plan, SearchSpace, DEFAULT_BLOCK_MAX};
 pub use mjoin_relation::{AttrSet, Attribute, Catalog, Relation, Value};
 pub use mjoin_store::{fingerprint128, LoadedStore, StoreEntry};
 pub use mjoin_strategy::{try_best_strategy_parallel, Strategy};

@@ -24,6 +24,12 @@
 //! [`DegradationReport`] saying which rung answered and what happened to
 //! the rungs above it.
 //!
+//! The ladder is one loop over a rung table, and the thread count is a
+//! parameter of the rungs, not a second code path: exhaustive enumeration
+//! and the product-free DP fan out over a worker pool (inline at one
+//! thread), all rungs share one memo, and every rung answers
+//! bit-identically at any thread count.
+//!
 //! Only **budget** trips degrade. Cancellation ([`MjoinError::Cancelled`])
 //! and internal faults ([`MjoinError::Internal`], which includes injected
 //! faults) propagate immediately — degradation is for resource exhaustion,
@@ -32,16 +38,15 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use mjoin_cost::{CardinalityOracle, Database, ExactOracle, SharedOracle};
+use mjoin_cost::{Database, SharedOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 use mjoin_obs::{incr, span, Counter, Span};
 use mjoin_optimizer::{
-    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_greedy_bushy,
-    try_greedy_linear, try_lindp, try_optimize, try_partitioned_dp, DpAlgorithm, Plan,
-    SearchSpace,
+    try_greedy_bushy, try_greedy_linear, try_lindp, try_optimize_parallel, try_partitioned_dp,
+    Plan, SearchSpace,
 };
-use mjoin_strategy::{try_best_strategy_parallel, try_for_each_strategy, Strategy};
+use mjoin_strategy::{try_best_strategy_parallel, Strategy};
 
 /// Largest subset the exhaustive rung will attempt: `(2·7 − 3)!! = 10 395`
 /// strategies is instant, one more relation is 13× that.
@@ -133,18 +138,6 @@ pub struct DegradationReport {
     pub answered_stats: RungStats,
 }
 
-impl DegradationReport {
-    fn clean(rung: Rung, attempts: Vec<RungAttempt>) -> Self {
-        DegradationReport {
-            answered_by: rung,
-            attempts,
-            optimal: matches!(rung, Rung::Exhaustive | Rung::Dp),
-            space_relaxed: matches!(rung, Rung::Fallback),
-            answered_stats: RungStats::default(),
-        }
-    }
-}
-
 impl fmt::Display for DegradationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "answered by {} rung", self.answered_by)?;
@@ -173,9 +166,8 @@ pub struct RobustPlan {
     pub report: DegradationReport,
 }
 
-/// Budget fractions: the exhaustive rung may use ¼ of the remaining
-/// deadline, the DP rung ½ of what's left after that, greedy everything
-/// that remains. Caps (memo entries, tuples) are per-rung.
+/// The budget slice for a rung that may use `numer/denom` of what is left
+/// of the deadline; `None` when nothing is left.
 fn rung_budget(total: &Budget, started: Instant, numer: u32, denom: u32) -> Option<Budget> {
     match total.deadline {
         None => Some(*total),
@@ -301,353 +293,43 @@ fn brownout_skip(rung: Rung, entry: Rung) -> RungAttempt {
     )
 }
 
-/// The degradation ladder over an [`ExactOracle`].
+/// The ladder's rungs above the fallback, each with the share of the
+/// remaining deadline it may use: the exhaustive rung ¼, the DP and the
+/// large-query rungs ½ of what is left when they start, greedy all of it.
+/// Caps (memo entries, tuples) are per-rung.
+const LADDER: [(Rung, u32, u32); 5] = [
+    (Rung::Exhaustive, 1, 4),
+    (Rung::Dp, 1, 2),
+    (Rung::LinDp, 1, 2),
+    (Rung::PartitionedDp, 1, 2),
+    (Rung::Greedy, 1, 1),
+];
+
+/// The degradation ladder, on a worker pool of `threads` (1 runs every
+/// rung inline on the caller's thread).
 ///
 /// Always returns a valid strategy covering `subset` (wrapped in a
 /// [`RobustPlan`] naming the rung that produced it) unless the input
 /// itself is invalid, the caller cancelled, or a fault was injected.
+///
+/// Every rung above `entry` is recorded as skipped (with a brownout note)
+/// and never attempted; `Rung::Exhaustive` is the full ladder. This is the
+/// serve-mode brownout hook — see [`BrownoutLevel::entry_rung`].
+///
+/// All rungs share one [`SharedOracle`] memo, re-armed with each rung's
+/// budget slice, so intermediates survive degradation; at `threads > 1`
+/// materialization inside it uses the partitioned parallel hash join.
+/// Every rung is deterministic in the thread count: the same input gives
+/// bit-identical plans and costs at any `threads ≥ 1`.
 pub fn optimize_robust(
     db: &Database,
     subset: RelSet,
     space: SearchSpace,
     budget: Budget,
     cancel: Option<&CancelToken>,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_from(db, subset, space, budget, cancel, Rung::Exhaustive)
-}
-
-/// [`optimize_robust`] with a pinned entry rung: every rung above `entry`
-/// is recorded as skipped (with a brownout note) and never attempted.
-/// `Rung::Exhaustive` is the identity. This is the serve-mode brownout
-/// hook — see [`BrownoutLevel::entry_rung`].
-pub fn optimize_robust_from(
-    db: &Database,
-    subset: RelSet,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-    entry: Rung,
-) -> Result<RobustPlan, MjoinError> {
-    failpoints::hit("core::ladder")?;
-    if subset.is_empty() {
-        return Err(MjoinError::InvalidScheme(
-            "cannot optimize the empty database".into(),
-        ));
-    }
-    let _opt_span = span(Span::Optimize);
-    let started = Instant::now();
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut oracle = ExactOracle::new(db);
-    let scheme = db.scheme().clone();
-
-    // Rung 1: exhaustive enumeration (small subsets only).
-    if entry > Rung::Exhaustive {
-        attempts.push(brownout_skip(Rung::Exhaustive, entry));
-    } else if subset.len() > EXHAUSTIVE_MAX_RELS {
-        attempts.push(RungAttempt::skipped(
-            Rung::Exhaustive,
-            format!(
-                "skipped: {} relations exceed the {}-relation enumeration cutoff",
-                subset.len(),
-                EXHAUSTIVE_MAX_RELS
-            ),
-        ));
-    } else {
-        match rung_budget(&budget, started, 1, 4) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Exhaustive,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match exhaustive_rung(&mut oracle, subset, space, &guard) {
-                    Ok(Some(plan)) => {
-                        let mut report = DegradationReport::clean(Rung::Exhaustive, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 2: the space's DP.
-    if entry > Rung::Dp {
-        attempts.push(brownout_skip(Rung::Dp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Dp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_optimize(&mut oracle, subset, space, &guard) {
-                    Ok(Some(plan)) => {
-                        let mut report = DegradationReport::clean(Rung::Dp, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Dp,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Dp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 3: IKKBZ-linearized interval DP — polynomial, and its result
-    // is never costlier than greedy-linear's, so it strictly dominates
-    // the linear half of the rung below. Like greedy, its plan may leave
-    // a restricted space (it searches bushy product-free plans);
-    // degradation relaxes optimality first, space membership second.
-    if entry > Rung::LinDp {
-        attempts.push(brownout_skip(Rung::LinDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::LinDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_lindp(&mut oracle, subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report = DegradationReport::clean(Rung::LinDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 4: partitioned DPccp — exact within blocks, greedy across the
-    // cuts. Subsumes plain DPccp when the subset fits one block.
-    if entry > Rung::PartitionedDp {
-        attempts.push(brownout_skip(Rung::PartitionedDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::PartitionedDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_partitioned_dp(&mut oracle, subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report =
-                            DegradationReport::clean(Rung::PartitionedDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 5: greedy, shaped to the space (linear spaces get the linear
-    // heuristic). Note the greedy result may use products even in
-    // product-free spaces — degradation relaxes optimality first, space
-    // membership second.
-    let linear_space = matches!(
-        space,
-        SearchSpace::Linear | SearchSpace::LinearNoCartesian
-    );
-    if entry > Rung::Greedy {
-        attempts.push(brownout_skip(Rung::Greedy, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 1) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Greedy,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let result = if linear_space {
-                try_greedy_linear(&mut oracle, subset, &guard)
-            } else {
-                try_greedy_bushy(&mut oracle, subset, &guard)
-            };
-            match result {
-                Ok(plan) => {
-                    let relaxed = !in_space(&plan.strategy, space, &scheme);
-                    let mut report = DegradationReport::clean(Rung::Greedy, attempts);
-                    report.space_relaxed = relaxed;
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report });
-                }
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Greedy,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
-        }
-        }
-    }
-
-    // Rung 6: index-order left-deep — valid by construction, no data
-    // access. Costing it is best-effort under whatever budget remains.
-    let order: Vec<usize> = subset.iter().collect();
-    let strategy = Strategy::left_deep(&order);
-    incr(Counter::LadderRungsAttempted, 1);
-    let _rung_span = span(Span::LadderRung);
-    let rung_started = Instant::now();
-    let (cost, stats) = match rung_budget(&budget, started, 1, 1) {
-        None => (u64::MAX, RungStats::default()),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            let cost = strategy.try_cost(&mut oracle).unwrap_or(u64::MAX);
-            (cost, rung_stats(rung_started, &guard))
-        }
-    };
-    let mut report = DegradationReport::clean(Rung::Fallback, attempts);
-    report.answered_stats = stats;
-    Ok(RobustPlan {
-        plan: Plan { strategy, cost },
-        report,
-    })
-}
-
-/// Enumerates every strategy in the space, keeping the cheapest.
-fn exhaustive_rung(
-    oracle: &mut ExactOracle<'_>,
-    subset: RelSet,
-    space: SearchSpace,
-    guard: &Guard,
-) -> Result<Option<Plan>, MjoinError> {
-    failpoints::hit("optimizer::exhaustive")?;
-    let scheme = oracle.scheme().clone();
-    let mut best: Option<Plan> = None;
-    try_for_each_strategy(subset, guard, &mut |s: &Strategy| {
-        incr(Counter::ExhaustiveStrategies, 1);
-        if !in_space(s, space, &scheme) {
-            return Ok(());
-        }
-        let cost = s.try_cost(&mut *oracle)?;
-        if best.as_ref().is_none_or(|b| cost < b.cost) {
-            best = Some(Plan {
-                strategy: s.clone(),
-                cost,
-            });
-        }
-        Ok(())
-    })?;
-    Ok(best)
-}
-
-/// [`optimize_robust`] with a worker pool.
-///
-/// Every rung that can fan out does: exhaustive enumeration chunks the
-/// top-level splits across `threads` scoped workers
-/// ([`try_best_strategy_parallel`]), the product-free DP runs each
-/// subset-size level in parallel ([`try_best_no_cartesian_parallel`], DPccp
-/// enumeration), and materialization inside the shared oracle uses the
-/// partitioned parallel hash join. All rungs share one [`SharedOracle`]
-/// memo, re-armed with each rung's budget slice, so intermediates survive
-/// degradation. `threads <= 1` delegates to the sequential ladder —
-/// single-threaded behaviour is unchanged, byte for byte.
-///
-/// Each parallel rung is deterministic in itself: the same rung at the same
-/// thread count ≥ 1 always returns bit-identical plans and costs. (The DP
-/// rung enumerates with DPccp where the sequential ladder uses DPsub; the
-/// two styles always agree on cost, and may tie-break equal-cost plans
-/// differently.)
-pub fn optimize_robust_threaded(
-    db: &Database,
-    subset: RelSet,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-    threads: usize,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_threaded_from(db, subset, space, budget, cancel, threads, Rung::Exhaustive)
-}
-
-/// [`optimize_robust_threaded`] with a pinned entry rung — the threaded
-/// twin of [`optimize_robust_from`].
-pub fn optimize_robust_threaded_from(
-    db: &Database,
-    subset: RelSet,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
     threads: usize,
     entry: Rung,
 ) -> Result<RobustPlan, MjoinError> {
-    if threads <= 1 {
-        return optimize_robust_from(db, subset, space, budget, cancel, entry);
-    }
     failpoints::hit("core::ladder")?;
     if subset.is_empty() {
         return Err(MjoinError::InvalidScheme(
@@ -658,253 +340,69 @@ pub fn optimize_robust_threaded_from(
     let started = Instant::now();
     let mut attempts: Vec<RungAttempt> = Vec::new();
     let mut oracle = SharedOracle::new(db).with_join_threads(threads);
-    let scheme = db.scheme().clone();
 
-    // Rung 1: parallel exhaustive enumeration (small subsets only).
-    if entry > Rung::Exhaustive {
-        attempts.push(brownout_skip(Rung::Exhaustive, entry));
-    } else if subset.len() > EXHAUSTIVE_MAX_RELS {
-        attempts.push(RungAttempt::skipped(
-            Rung::Exhaustive,
-            format!(
-                "skipped: {} relations exceed the {}-relation enumeration cutoff",
-                subset.len(),
-                EXHAUSTIVE_MAX_RELS
-            ),
-        ));
-    } else {
-        match rung_budget(&budget, started, 1, 4) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Exhaustive,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                let result = failpoints::hit("optimizer::exhaustive").and_then(|()| {
-                    try_best_strategy_parallel(&oracle, subset, &guard, threads, &|s| {
-                        in_space(s, space, &scheme)
-                    })
-                });
-                match result {
-                    Ok(Some((strategy, cost))) => {
-                        let mut report = DegradationReport::clean(Rung::Exhaustive, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan {
-                            plan: Plan { strategy, cost },
-                            report,
-                        })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
+    for (rung, numer, denom) in LADDER {
+        if entry > rung {
+            attempts.push(brownout_skip(rung, entry));
+            continue;
         }
-    }
-
-    // Rung 2: the space's DP — level-parallel for the product-free spaces,
-    // sequential over the shared memo for the rest.
-    if entry > Rung::Dp {
-        attempts.push(brownout_skip(Rung::Dp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Dp,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let result = match space {
-                SearchSpace::NoCartesian => try_best_no_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    DpAlgorithm::DpCcp,
-                    &guard,
-                    threads,
+        if rung == Rung::Exhaustive && subset.len() > EXHAUSTIVE_MAX_RELS {
+            attempts.push(RungAttempt::skipped(
+                rung,
+                format!(
+                    "skipped: {} relations exceed the {}-relation enumeration cutoff",
+                    subset.len(),
+                    EXHAUSTIVE_MAX_RELS
                 ),
-                SearchSpace::AvoidCartesian => try_best_avoid_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    DpAlgorithm::DpCcp,
-                    &guard,
-                    threads,
-                ),
-                _ => try_optimize(&mut oracle.handle(), subset, space, &guard),
-            };
-            match result {
-                Ok(Some(plan)) => {
-                    let mut report = DegradationReport::clean(Rung::Dp, attempts);
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report })
-                }
-                Ok(None) => attempts.push(RungAttempt {
-                    rung: Rung::Dp,
-                    outcome: format!("search space {space:?} is empty for this scheme"),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Dp,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
+            ));
+            continue;
         }
-        }
-    }
-
-    // Rungs 3–4: the polynomial large-query rungs. Both are sequential
-    // algorithms (their work is O(n³) oracle arithmetic, not enumeration),
-    // but they read and extend the shared memo through a handle, so
-    // intermediates survive into the greedy rung. Running them on one
-    // worker also keeps their answers bit-identical at every thread count.
-    if entry > Rung::LinDp {
-        attempts.push(brownout_skip(Rung::LinDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::LinDp,
+        let Some(b) = rung_budget(&budget, started, numer, denom) else {
+            attempts.push(RungAttempt::skipped(
+                rung,
                 "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_lindp(&mut oracle.handle(), subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report = DegradationReport::clean(Rung::LinDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
+            ));
+            continue;
+        };
+        let guard = rung_guard(b, cancel);
+        oracle.rearm(guard.clone());
+        incr(Counter::LadderRungsAttempted, 1);
+        let _rung_span = span(Span::LadderRung);
+        let rung_started = Instant::now();
+        let outcome = match run_rung(rung, &oracle, subset, space, &guard, threads) {
+            Ok(Some(plan)) => {
+                let report = DegradationReport {
+                    answered_by: rung,
+                    attempts,
+                    optimal: matches!(rung, Rung::Exhaustive | Rung::Dp),
+                    space_relaxed: !in_space(&plan.strategy, space, db.scheme()),
+                    answered_stats: rung_stats(rung_started, &guard),
+                };
+                return Ok(RobustPlan { plan, report });
             }
-        }
+            Ok(None) if rung <= Rung::Dp => {
+                format!("search space {space:?} is empty for this scheme")
+            }
+            Ok(None) => "not applicable: the join graph of the subset is unconnected".into(),
+            Err(e) if degradable(&e) => e.to_string(),
+            Err(e) => return Err(e),
+        };
+        attempts.push(RungAttempt {
+            rung,
+            outcome,
+            stats: rung_stats(rung_started, &guard),
+        });
     }
 
-    if entry > Rung::PartitionedDp {
-        attempts.push(brownout_skip(Rung::PartitionedDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::PartitionedDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_partitioned_dp(&mut oracle.handle(), subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report =
-                            DegradationReport::clean(Rung::PartitionedDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 5: greedy — inherently sequential, but it reads the shared memo
-    // the parallel rungs populated.
-    let linear_space = matches!(
-        space,
-        SearchSpace::Linear | SearchSpace::LinearNoCartesian
-    );
-    if entry > Rung::Greedy {
-        attempts.push(brownout_skip(Rung::Greedy, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 1) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Greedy,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let mut handle = oracle.handle();
-            let result = if linear_space {
-                try_greedy_linear(&mut handle, subset, &guard)
-            } else {
-                try_greedy_bushy(&mut handle, subset, &guard)
-            };
-            match result {
-                Ok(plan) => {
-                    let relaxed = !in_space(&plan.strategy, space, &scheme);
-                    let mut report = DegradationReport::clean(Rung::Greedy, attempts);
-                    report.space_relaxed = relaxed;
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report });
-                }
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Greedy,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
-        }
-        }
-    }
-
-    // Rung 6: index-order left-deep, costed best-effort.
+    // The fallback: index-order left-deep, valid by construction and built
+    // without data access. Costing it is best-effort under whatever budget
+    // remains.
     let order: Vec<usize> = subset.iter().collect();
     let strategy = Strategy::left_deep(&order);
     incr(Counter::LadderRungsAttempted, 1);
     let _rung_span = span(Span::LadderRung);
     let rung_started = Instant::now();
-    let (cost, stats) = match rung_budget(&budget, started, 1, 1) {
+    let (cost, answered_stats) = match rung_budget(&budget, started, 1, 1) {
         None => (u64::MAX, RungStats::default()),
         Some(b) => {
             let guard = rung_guard(b, cancel);
@@ -913,33 +411,80 @@ pub fn optimize_robust_threaded_from(
             (cost, rung_stats(rung_started, &guard))
         }
     };
-    let mut report = DegradationReport::clean(Rung::Fallback, attempts);
-    report.answered_stats = stats;
     Ok(RobustPlan {
         plan: Plan { strategy, cost },
-        report,
+        report: DegradationReport {
+            answered_by: Rung::Fallback,
+            attempts,
+            optimal: false,
+            space_relaxed: true,
+            answered_stats,
+        },
     })
 }
 
-/// [`optimize_robust_threaded`] over a whole database.
-pub fn optimize_database_robust_threaded(
+/// Runs one rung of [`LADDER`]; `Ok(None)` means the rung has nothing to
+/// offer for this input (an empty space, an unconnected join graph).
+///
+/// Exhaustive enumeration and the product-free DP fan out over `threads`
+/// workers; the large-query rungs and greedy are sequential algorithms
+/// (their work is polynomial oracle arithmetic, not enumeration) that read
+/// and extend the shared memo through a handle. Greedy is shaped to the
+/// space (linear spaces get the linear heuristic). The rungs below the DP
+/// may leave a restricted space: degradation relaxes optimality first,
+/// space membership second.
+fn run_rung(
+    rung: Rung,
+    oracle: &SharedOracle<'_>,
+    subset: RelSet,
+    space: SearchSpace,
+    guard: &Guard,
+    threads: usize,
+) -> Result<Option<Plan>, MjoinError> {
+    let scheme = oracle.database().scheme();
+    match rung {
+        Rung::Exhaustive => {
+            failpoints::hit("optimizer::exhaustive")?;
+            let best = try_best_strategy_parallel(oracle, subset, guard, threads, &|s| {
+                in_space(s, space, scheme)
+            })?;
+            Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
+        }
+        Rung::Dp => try_optimize_parallel(oracle, subset, space, guard, threads),
+        Rung::LinDp => try_lindp(&mut oracle.handle(), subset, guard),
+        Rung::PartitionedDp => try_partitioned_dp(&mut oracle.handle(), subset, guard),
+        Rung::Greedy => {
+            let mut handle = oracle.handle();
+            let plan = if matches!(space, SearchSpace::Linear | SearchSpace::LinearNoCartesian) {
+                try_greedy_linear(&mut handle, subset, guard)?
+            } else {
+                try_greedy_bushy(&mut handle, subset, guard)?
+            };
+            Ok(Some(plan))
+        }
+        Rung::Fallback => Err(MjoinError::Internal(
+            "the fallback rung runs after the ladder table".into(),
+        )),
+    }
+}
+
+/// [`optimize_robust`] over a whole database, entering at the top rung.
+pub fn optimize_database_robust(
     db: &Database,
     space: SearchSpace,
     budget: Budget,
     cancel: Option<&CancelToken>,
     threads: usize,
 ) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_threaded(db, db.scheme().full_set(), space, budget, cancel, threads)
-}
-
-/// [`optimize_robust`] over a whole database.
-pub fn optimize_database_robust(
-    db: &Database,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust(db, db.scheme().full_set(), space, budget, cancel)
+    optimize_robust(
+        db,
+        db.scheme().full_set(),
+        space,
+        budget,
+        cancel,
+        threads,
+        Rung::Exhaustive,
+    )
 }
 
 #[cfg(test)]
@@ -950,8 +495,8 @@ mod tests {
     #[test]
     fn unlimited_ladder_answers_at_the_top() {
         let db = data::paper_example4();
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
+        let r =
+            optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None, 1).unwrap();
         assert_eq!(r.report.answered_by, Rung::Exhaustive);
         assert!(r.report.optimal);
         assert_eq!(r.plan.cost, 11);
@@ -961,7 +506,7 @@ mod tests {
     fn ladder_matches_plain_dp() {
         let db = data::paper_example5();
         let robust =
-            optimize_database_robust(&db, SearchSpace::NoCartesian, Budget::unlimited(), None)
+            optimize_database_robust(&db, SearchSpace::NoCartesian, Budget::unlimited(), None, 1)
                 .unwrap();
         let plain = crate::optimize_database(&db, SearchSpace::NoCartesian).unwrap();
         assert_eq!(robust.plan.cost, plain.cost);
@@ -972,164 +517,87 @@ mod tests {
         let db = data::paper_example5();
         let token = CancelToken::new();
         token.cancel();
-        let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), Some(&token))
+        for threads in [1, 4] {
+            let err = optimize_database_robust(
+                &db,
+                SearchSpace::All,
+                Budget::unlimited(),
+                Some(&token),
+                threads,
+            )
             .unwrap_err();
-        assert_eq!(err, MjoinError::Cancelled);
+            assert_eq!(err, MjoinError::Cancelled, "{threads} threads");
+        }
     }
 
     #[test]
     fn memo_cap_degrades_not_fails() {
         let db = data::paper_example5();
         let budget = Budget::unlimited().with_max_memo_entries(1);
-        let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-        // The exhaustive and DP rungs can't run on one memo entry; some
-        // lower rung must still answer with a valid covering strategy.
-        assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
-        assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
-        assert!(r.plan.strategy.validate(db.scheme()));
-        assert!(!r.report.attempts.is_empty());
+        for threads in [1, 4] {
+            let r = optimize_database_robust(&db, SearchSpace::All, budget, None, threads).unwrap();
+            // The exhaustive and DP rungs can't run on one memo entry; some
+            // lower rung must still answer with a valid covering strategy.
+            assert!(
+                r.report.answered_by > Rung::Dp,
+                "{threads} threads: {}",
+                r.report
+            );
+            assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
+            assert!(r.plan.strategy.validate(db.scheme()));
+            assert!(!r.report.attempts.is_empty());
+        }
     }
 
     #[test]
     fn ladder_failpoint_propagates() {
         let db = data::paper_example4();
         let _fp = failpoints::ScopedFailpoint::arm("core::ladder");
-        let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
+        let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None, 1)
             .unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
-    }
-
-    #[test]
-    fn threaded_ladder_matches_sequential_cost() {
-        let db = data::paper_example4();
-        let seq = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
-        for threads in [1, 2, 4] {
-            let par = optimize_database_robust_threaded(
-                &db,
-                SearchSpace::All,
-                Budget::unlimited(),
-                None,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par.report.answered_by, Rung::Exhaustive, "{threads} threads");
-            assert_eq!(par.plan.cost, seq.plan.cost, "{threads} threads");
-            assert_eq!(
-                par.plan.strategy.canonical(),
-                seq.plan.strategy.canonical(),
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_ladder_is_thread_count_invariant_per_rung() {
-        // Force the exhaustive rung out of the picture so the parallel DP
-        // answers, then check it agrees with itself at every thread count.
-        let db = data::paper_example5();
-        let two = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::NoCartesian,
-            Budget::unlimited(),
-            None,
-            2,
-        )
-        .unwrap();
-        let four = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::NoCartesian,
-            Budget::unlimited(),
-            None,
-            4,
-        )
-        .unwrap();
-        assert_eq!(two.plan.cost, four.plan.cost);
-        assert_eq!(two.plan.strategy, four.plan.strategy);
-        assert_eq!(two.report.answered_by, four.report.answered_by);
-    }
-
-    #[test]
-    fn threaded_ladder_degrades_like_sequential() {
-        let db = data::paper_example5();
-        let budget = Budget::unlimited().with_max_memo_entries(1);
-        let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 4)
-            .unwrap();
-        assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
-        assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
-        assert!(r.plan.strategy.validate(db.scheme()));
-    }
-
-    #[test]
-    fn threaded_ladder_propagates_cancellation() {
-        let db = data::paper_example5();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::All,
-            Budget::unlimited(),
-            Some(&token),
-            4,
-        )
-        .unwrap_err();
-        assert_eq!(err, MjoinError::Cancelled);
     }
 
     #[test]
     fn brownout_entry_pins_the_ladder() {
         let db = data::paper_example4();
         let full = db.scheme().full_set();
-        for level in [
-            BrownoutLevel::Normal,
-            BrownoutLevel::ReducedDp,
-            BrownoutLevel::GreedyOnly,
-        ] {
-            let r = optimize_robust_from(
-                &db,
-                full,
-                SearchSpace::All,
-                level.apply(Budget::unlimited()),
-                None,
-                level.entry_rung(),
-            )
-            .unwrap();
-            assert_eq!(r.report.answered_by, level.entry_rung(), "{level}: {}", r.report);
-            assert_eq!(r.plan.strategy.set(), full);
-            assert!(r.plan.strategy.validate(db.scheme()));
-            // Every rung above the entry is on record as a brownout skip.
-            let skips = r
-                .report
-                .attempts
-                .iter()
-                .filter(|a| a.outcome.contains("brownout"))
-                .count();
-            let expected = match level {
-                BrownoutLevel::Normal => 0,
-                BrownoutLevel::ReducedDp => 1,
-                // GreedyOnly skips exhaustive, dp, lindp and partdp.
-                BrownoutLevel::GreedyOnly => 4,
-            };
-            assert_eq!(skips, expected, "{level}");
+        for threads in [1, 4] {
+            for level in [
+                BrownoutLevel::Normal,
+                BrownoutLevel::ReducedDp,
+                BrownoutLevel::GreedyOnly,
+            ] {
+                let r = optimize_robust(
+                    &db,
+                    full,
+                    SearchSpace::All,
+                    level.apply(Budget::unlimited()),
+                    None,
+                    threads,
+                    level.entry_rung(),
+                )
+                .unwrap();
+                let ctx = format!("{level} x{threads}: {}", r.report);
+                assert_eq!(r.report.answered_by, level.entry_rung(), "{ctx}");
+                assert_eq!(r.plan.strategy.set(), full);
+                assert!(r.plan.strategy.validate(db.scheme()));
+                // Every rung above the entry is on record as a brownout skip.
+                let skips = r
+                    .report
+                    .attempts
+                    .iter()
+                    .filter(|a| a.outcome.contains("brownout"))
+                    .count();
+                let expected = match level {
+                    BrownoutLevel::Normal => 0,
+                    BrownoutLevel::ReducedDp => 1,
+                    // GreedyOnly skips exhaustive, dp, lindp and partdp.
+                    BrownoutLevel::GreedyOnly => 4,
+                };
+                assert_eq!(skips, expected, "{ctx}");
+            }
         }
-    }
-
-    #[test]
-    fn brownout_entry_pins_the_threaded_ladder() {
-        let db = data::paper_example4();
-        let full = db.scheme().full_set();
-        let r = optimize_robust_threaded_from(
-            &db,
-            full,
-            SearchSpace::All,
-            Budget::unlimited(),
-            None,
-            4,
-            Rung::Greedy,
-        )
-        .unwrap();
-        assert_eq!(r.report.answered_by, Rung::Greedy, "{}", r.report);
-        assert!(r.plan.strategy.validate(db.scheme()));
     }
 
     #[test]
@@ -1160,8 +628,8 @@ mod tests {
     #[test]
     fn report_display_names_the_rung() {
         let db = data::paper_example4();
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
+        let r =
+            optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None, 1).unwrap();
         assert!(r.report.to_string().contains("exhaustive"));
     }
 }

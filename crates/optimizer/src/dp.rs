@@ -862,6 +862,12 @@ fn nocp_rec<O: CardinalityOracle>(
     // both halves must be connected and linked to each other.
     for (s1, s2) in s.proper_splits() {
         scanned += 1;
+        // Most splits of a large subset are pruned without oracle work,
+        // so the scan can run `2^{n−1}` iterations between memo charges;
+        // poll on the same stride as `bushy_rec`.
+        if scanned & 0xFF == 0 {
+            guard.checkpoint()?;
+        }
         if !oracle.scheme().linked_disjoint(s1, s2)
             || !oracle.scheme().connected(s1)
             || !oracle.scheme().connected(s2)

@@ -1,6 +1,6 @@
 //! Search spaces and the optimizer entry point.
 
-use mjoin_cost::CardinalityOracle;
+use mjoin_cost::{CardinalityOracle, SharedHandle, SyncCardinalityOracle};
 use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 use mjoin_strategy::Strategy;
@@ -110,6 +110,33 @@ pub fn try_optimize_with<O: CardinalityOracle>(
         SearchSpace::AvoidCartesian => {
             dp::try_best_avoid_cartesian(oracle, subset, algorithm, guard)
         }
+    }
+}
+
+/// [`try_optimize`] over a thread-safe oracle on `threads` workers: the
+/// product-free spaces run level-parallel DPccp, the other spaces the
+/// sequential DP over a [`SharedHandle`]. At `threads = 1` the parallel
+/// DPs run inline, so this is the one space→DP dispatch at every thread
+/// count, and its plans are bit-identical at any thread count.
+pub fn try_optimize_parallel<O: SyncCardinalityOracle>(
+    oracle: &O,
+    subset: RelSet,
+    space: SearchSpace,
+    guard: &Guard,
+    threads: usize,
+) -> Result<Option<Plan>, MjoinError> {
+    match space {
+        SearchSpace::NoCartesian => {
+            dp::try_best_no_cartesian_parallel(oracle, subset, DpAlgorithm::DpCcp, guard, threads)
+        }
+        SearchSpace::AvoidCartesian => dp::try_best_avoid_cartesian_parallel(
+            oracle,
+            subset,
+            DpAlgorithm::DpCcp,
+            guard,
+            threads,
+        ),
+        _ => try_optimize(&mut SharedHandle::new(oracle), subset, space, guard),
     }
 }
 

@@ -9,11 +9,11 @@
 //!   with that heuristic by construction);
 //! * `PartitionedDp` with `k ≥ n` *is* DPccp — same call, bit-identical
 //!   cost and strategy;
-//! * both rungs are thread-invariant: `optimize_robust_threaded` pinned at
+//! * both rungs are thread-invariant: `optimize_robust` pinned at
 //!   either rung returns byte-identical plans at 1, 2, and 4 threads.
 
 use mjoin::{
-    optimize_robust_threaded_from, Budget, Database, ExactOracle, Guard, RelSet, Rung,
+    optimize_robust, Budget, Database, ExactOracle, Guard, RelSet, Rung,
     SearchSpace,
 };
 use mjoin_cost::SyntheticOracle;
@@ -149,7 +149,7 @@ fn seeded_db(seed: u64, scheme_kind: &str, n: usize) -> Database {
     data::uniform(cat, scheme, &cfg, &mut rng)
 }
 
-/// Pinning the ladder entry at each new rung, the threaded ladder returns
+/// Pinning the ladder entry at each new rung, the ladder returns
 /// the same plan at 1, 2, and 4 threads — the rungs run sequentially on
 /// the shared-oracle handle, so thread count cannot perturb them.
 #[test]
@@ -162,7 +162,7 @@ fn new_rungs_are_thread_invariant() {
                 let plans: Vec<_> = [1usize, 2, 4]
                     .into_iter()
                     .map(|threads| {
-                        optimize_robust_threaded_from(
+                        optimize_robust(
                             &db,
                             full,
                             SearchSpace::All,
@@ -195,7 +195,7 @@ fn new_rungs_are_thread_invariant() {
 fn pinned_entry_matches_direct_rung_call() {
     let db = seeded_db(3, "chain", 9);
     let full = db.scheme().full_set();
-    let r = optimize_robust_threaded_from(
+    let r = optimize_robust(
         &db,
         full,
         SearchSpace::All,

@@ -48,7 +48,7 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_deadline(Duration::from_millis(50));
     let started = Instant::now();
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
     let elapsed = started.elapsed();
 
     // No hang: the deadline is 50 ms; allow generous slack for slow CI.
@@ -79,7 +79,7 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
 fn hostile_clique_under_tuple_cap_degrades() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_max_tuples(10_000);
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
     assert!(r.plan.strategy.validate(db.scheme()));
     assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
@@ -100,7 +100,7 @@ fn hostile_clique_under_tuple_cap_degrades() {
 fn rung_attempts_record_elapsed_and_budget_consumed() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_max_tuples(10_000);
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
     // At n = 14 the exhaustive rung is skipped (space too large) without
     // doing any work; the DP rung runs and trips the tuple cap.
     let skipped = r
@@ -142,8 +142,8 @@ fn rung_attempts_record_elapsed_and_budget_consumed() {
 fn rung_budget_consumption_is_deterministic() {
     let db = clique_db(10, 2);
     let budget = Budget::unlimited().with_max_memo_entries(16);
-    let a = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-    let b = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let a = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
+    let b = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(a.report.answered_stats.memo_used, b.report.answered_stats.memo_used);
     assert_eq!(a.report.answered_stats.tuples_used, b.report.answered_stats.tuples_used);
     for (x, y) in a.report.attempts.iter().zip(&b.report.attempts) {
@@ -179,7 +179,7 @@ fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
     for _ in 0..3 {
         let budget = Budget::unlimited().with_deadline(Duration::from_millis(100));
         let started = Instant::now();
-        let attempt = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+        let attempt = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
         let elapsed = started.elapsed();
         assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
         let answered_by = attempt.report.answered_by;
@@ -208,6 +208,100 @@ fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
     );
 }
 
+/// Reads and parses a committed example database.
+fn example_db(file: &str) -> Database {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    let text = std::fs::read_to_string(&path).expect("example file readable");
+    mjoin_cli::parse_input(&text)
+        .expect("example file parses")
+        .database
+}
+
+/// The ladder is one code path at every thread count: the same input is
+/// answered by the same rung with the same strategy at 1, 2 and 4
+/// threads. On the 40-relation chain in the product-free space the DP
+/// rung must answer — Tay's product-free space searched exactly, by
+/// DPccp, well inside its slice of a 1 s deadline — and on Example 4 the
+/// exhaustive rung.
+#[test]
+fn ladder_answers_identically_at_every_thread_count() {
+    for (file, space, rung, tau) in [
+        ("examples/chain40.mj", SearchSpace::NoCartesian, Rung::Dp, 40),
+        ("examples/example4.mj", SearchSpace::All, Rung::Exhaustive, 11),
+    ] {
+        let db = example_db(file);
+        let plans: Vec<_> = [1usize, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let run = || {
+                    let budget = Budget::unlimited().with_deadline(Duration::from_secs(1));
+                    mjoin::optimize_database_robust(&db, space, budget, None, threads).unwrap()
+                };
+                // A real wall-clock deadline is sensitive to scheduler
+                // noise when the workspace's test binaries compete for
+                // cores: allow a couple of retries before declaring the
+                // rung too slow for its slice.
+                let mut r = run();
+                for _ in 0..2 {
+                    if r.report.answered_by == rung {
+                        break;
+                    }
+                    r = run();
+                }
+                assert_eq!(
+                    r.report.answered_by, rung,
+                    "{file} x{threads}: {}",
+                    r.report
+                );
+                assert!(r.report.optimal, "{file} x{threads}: {}", r.report);
+                assert_eq!(r.plan.cost, tau, "{file} x{threads}");
+                r.plan.strategy
+            })
+            .collect();
+        assert_eq!(plans[0], plans[1], "{file}: 1 vs 2 threads");
+        assert_eq!(plans[0], plans[2], "{file}: 1 vs 4 threads");
+    }
+}
+
+/// DPsub's product-free split scan polls its guard on a stride. On a
+/// 40-relation chain whose relations are listed out of path order, almost
+/// every split of a large subset is pruned without oracle work, so long
+/// runs of the scan enter no new subproblem; polling only on entering one
+/// would let a 50 ms deadline overrun by over a minute. The synthetic
+/// oracle keeps materialization out of the picture: the scan is all the
+/// work there is.
+#[test]
+fn dpsub_scan_trips_its_deadline_on_a_long_chain() {
+    // Relation k joins attributes i and i + 1 for i = 17·k mod 40.
+    let letters: Vec<char> = ('A'..='Z').chain('a'..='o').collect();
+    let specs: Vec<(String, Vec<Vec<i64>>)> = (0..40usize)
+        .map(|k| {
+            let i = (k * 17) % 40;
+            let name: String = [letters[i], letters[i + 1]].iter().collect();
+            let other = vec![(i % 3) as i64 + 2, (i % 2) as i64 + 2];
+            (name, vec![vec![1, 1], other])
+        })
+        .collect();
+    let specs: Vec<(&str, Vec<Vec<i64>>)> = specs
+        .iter()
+        .map(|(n, rows)| (n.as_str(), rows.clone()))
+        .collect();
+    let db = Database::from_specs(&specs).unwrap();
+    let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(50)));
+    let mut oracle = mjoin::SyntheticOracle::from_database(&db);
+    let err = try_optimize(
+        &mut oracle,
+        db.scheme().full_set(),
+        SearchSpace::NoCartesian,
+        &guard,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, MjoinError::BudgetExceeded { .. }),
+        "expected a budget trip, got: {err}"
+    );
+}
+
 /// Cancellation from another thread interrupts a search that would
 /// otherwise run for a very long time (the 12-relation clique DP), and
 /// surfaces as `Cancelled` — not as a degraded answer and not as a hang.
@@ -223,7 +317,7 @@ fn cancellation_interrupts_a_long_search() {
         })
     };
     let started = Instant::now();
-    let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), Some(&token))
+    let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), Some(&token), 1)
         .unwrap_err();
     canceller.join().unwrap();
     assert_eq!(err, MjoinError::Cancelled);
@@ -236,8 +330,8 @@ fn cancellation_interrupts_a_long_search() {
 fn capped_runs_are_deterministic() {
     let db = clique_db(10, 2);
     let budget = Budget::unlimited().with_max_memo_entries(16);
-    let a = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-    let b = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let a = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
+    let b = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(a.report.answered_by, b.report.answered_by);
     assert!(a.plan.strategy.eq_unordered(&b.plan.strategy));
     assert_eq!(a.plan.cost, b.plan.cost);
@@ -269,7 +363,7 @@ proptest! {
         let budget = Budget::unlimited()
             .with_max_memo_entries(cap)
             .with_max_tuples(cap);
-        let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+        let r = optimize_database_robust(&db, SearchSpace::All, budget, None, 1).unwrap();
         prop_assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
         prop_assert!(r.plan.strategy.validate(db.scheme()));
     }
@@ -279,7 +373,7 @@ proptest! {
     #[test]
     fn ladder_never_worse_than_greedy(seed: u64, n in 2usize..6) {
         let db = random_db(seed, n);
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
+        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None, 1)
             .unwrap();
         prop_assert!(r.report.optimal, "{}", r.report);
         let mut oracle = ExactOracle::new(&db);
@@ -378,14 +472,8 @@ fn concurrent_threaded_searches_respect_their_deadlines() {
                     let db = clique_db(10 + i % 4, 4);
                     let budget = Budget::unlimited().with_deadline(deadline);
                     let started = Instant::now();
-                    let r = mjoin::optimize_database_robust_threaded(
-                        &db,
-                        SearchSpace::All,
-                        budget,
-                        None,
-                        2,
-                    )
-                    .unwrap();
+                    let r = mjoin::optimize_database_robust(&db, SearchSpace::All, budget, None, 2)
+                        .unwrap();
                     (started.elapsed(), r)
                 })
             })
@@ -425,7 +513,7 @@ fn concurrent_searches_all_observe_one_cancellation() {
                         // thread is still searching at cancel time.
                         let db = clique_db(12, 4);
                         let started = Instant::now();
-                        let r = mjoin::optimize_database_robust_threaded(
+                        let r = mjoin::optimize_database_robust(
                             &db,
                             SearchSpace::All,
                             Budget::unlimited(),
